@@ -32,12 +32,13 @@ impl SimRng {
     /// Streams for different labels are decorrelated even under the same
     /// master seed, so adding a component never shifts another's draws.
     pub fn split(&self, label: &str) -> SimRng {
-        let mut h = 0xcbf29ce484222325u64; // FNV-1a
-        for b in label.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        SimRng::new(self.s[0] ^ h.rotate_left(17))
+        self.split_label(Label::new().str(label))
+    }
+
+    /// [`SimRng::split`] over a label built from parts: the same stream
+    /// as splitting on the joined string, without allocating it.
+    pub fn split_label(&self, label: Label) -> SimRng {
+        SimRng::new(self.s[0] ^ label.0.rotate_left(17))
     }
 
     /// Next raw 64-bit value.
@@ -113,6 +114,56 @@ impl SimRng {
     }
 }
 
+/// A stream label hashed incrementally (FNV-1a), so a label made of
+/// parts — `"twin/shard" + 3 + "/session" + 41` — hashes exactly like
+/// the joined string. A common prefix can be hashed once and extended
+/// per use.
+#[derive(Clone, Copy, Debug)]
+pub struct Label(u64);
+
+impl Label {
+    /// The empty label.
+    pub fn new() -> Self {
+        Label(0xcbf29ce484222325)
+    }
+
+    /// Appends the bytes of `s`.
+    pub fn str(self, s: &str) -> Self {
+        self.bytes(s.as_bytes())
+    }
+
+    /// Appends `n` in decimal, as `format!("{n}")` writes it.
+    pub fn decimal(self, n: u64) -> Self {
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        let mut v = n;
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.bytes(&buf[at..])
+    }
+
+    fn bytes(self, bytes: &[u8]) -> Self {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        Label(h)
+    }
+}
+
+impl Default for Label {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,6 +193,17 @@ mod tests {
         let a = loss1.next_u64();
         assert_eq!(a, loss2.next_u64(), "same label, same stream");
         assert_ne!(a, radio.next_u64(), "different labels diverge");
+    }
+
+    #[test]
+    fn label_parts_split_like_the_joined_string() {
+        let master = SimRng::new(0x7717);
+        let prefix = Label::new().str("twin/shard").decimal(3).str("/session");
+        for n in [0u64, 7, 10, 99_999, 1 << 40, u64::MAX] {
+            let mut joined = master.split(&format!("twin/shard3/session{n}"));
+            let mut parts = master.split_label(prefix.decimal(n));
+            assert_eq!(joined.next_u64(), parts.next_u64(), "n = {n}");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A million concurrent sessions with constant churn must not mean a
 //! million boxed allocations plus free-list fragmentation: sessions
 //! live in one contiguous slab, keyed by a dense [`SessionId`] whose
-//! index doubles as the row index into the struct-of-arrays charging
-//! counters (`sim::soa`). Teardown pushes the slot onto a free list;
+//! index doubles as the row index into the charging counter bank
+//! (`sim::soa`). Teardown pushes the slot onto a free list;
 //! the next arrival reuses it — churn is slot reuse, not allocation.
 //!
 //! Ids are **generational**: every reuse bumps the slot's generation,
@@ -17,7 +17,7 @@
 /// Dense generational handle to an arena slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SessionId {
-    /// Slot index; also the row index into the SoA counter columns.
+    /// Slot index; also the row index into the charging counter bank.
     pub index: u32,
     /// Slot generation at allocation time.
     pub generation: u32,
@@ -76,8 +76,8 @@ impl<T> Arena<T> {
         self.live == 0
     }
 
-    /// Total slots ever allocated (live + free); the SoA columns are
-    /// sized to this.
+    /// Total slots ever allocated (live + free); the charging counter
+    /// bank is sized to this.
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }

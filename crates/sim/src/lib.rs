@@ -18,8 +18,8 @@
 //!   instances over classified traffic,
 //! * [`wheel`] / [`arena`] / [`soa`] / [`twin`] — the million-session
 //!   charging digital twin (DESIGN §13): hierarchical timer wheel with
-//!   O(1) schedule/cancel, generational session slab, struct-of-arrays
-//!   charging counters, and the sharded epoch-barrier run loop.
+//!   O(1) schedule/cancel, generational session slab, one-cache-line
+//!   charging counter rows, and the sharded epoch-barrier run loop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,14 +1,18 @@
-//! Struct-of-arrays charging counters for the digital twin
-//! (DESIGN §13).
+//! Per-session charging counters for the digital twin (DESIGN §13).
 //!
 //! Per-session charging state — what the edge sent, what the
 //! operator's gateway metered, what the device/modem actually got,
 //! loss tallies, the operator's monitor lag, and the cycle boundary —
-//! lives in parallel `Vec<u64>` columns indexed by the session's
-//! arena slot ([`crate::arena::SessionId::index`]). The hot
-//! gap-accounting sweep ([`ChargeColumns::sweep`]) is then a
-//! cache-linear pass over plain arrays: no pointer chasing, no
-//! per-session struct padding, one branch per row.
+//! lives in one 64-byte-aligned [`ChargeRow`] per session, indexed by
+//! the session's arena slot ([`crate::arena::SessionId::index`]). The
+//! twin reaches rows at random (whichever session's event fires next),
+//! and each of its operations — accrue plus monitor lag, handover
+//! flush, settle — reads and writes several counters of one row, so
+//! a row-major bank makes each of them touch exactly one cache line.
+//! The module keeps its struct-of-arrays name for API stability; the
+//! full-bank gap sweep ([`ChargeColumns::sweep`]) is still one linear
+//! pass, just not a column-wise one, and is not on the twin's hot
+//! path.
 //!
 //! Freed rows are zeroed at teardown, so sweeps run unconditionally
 //! over every slot — a dead row contributes nothing — and slot reuse
@@ -16,8 +20,10 @@
 
 use tlc_core::plan::{charge_for, LossWeight, UsagePair};
 
-/// One session's charging columns, read out as a row (settlement path).
+/// One session's charging counters: the bank's storage unit, one
+/// cache line per row.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[repr(C, align(64))]
 pub struct ChargeRow {
     /// Bytes the edge sent this cycle (x̂_e side of the truth pair).
     pub sent: u64,
@@ -38,20 +44,13 @@ pub struct ChargeRow {
     pub cycle_start_us: u64,
 }
 
-/// The SoA charging-counter bank.
+/// The charging-counter bank: one [`ChargeRow`] per arena slot.
 #[derive(Default)]
 pub struct ChargeColumns {
-    sent: Vec<u64>,
-    delivered: Vec<u64>,
-    gateway: Vec<u64>,
-    lost_air: Vec<u64>,
-    lost_congestion: Vec<u64>,
-    lost_handover: Vec<u64>,
-    monitor_lag: Vec<u64>,
-    cycle_start_us: Vec<u64>,
+    rows: Vec<ChargeRow>,
 }
 
-/// Aggregate of one cache-linear gap sweep over the live columns.
+/// Aggregate of one gap sweep over the live rows.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct GapSweep {
     /// Rows with any counted traffic.
@@ -109,69 +108,44 @@ impl ChargeColumns {
         Self::default()
     }
 
-    /// Pre-sizes every column for `n` rows.
+    /// Pre-sizes the bank for `n` rows.
     pub fn with_capacity(n: usize) -> Self {
-        let mut c = Self::new();
-        c.sent.reserve(n);
-        c.delivered.reserve(n);
-        c.gateway.reserve(n);
-        c.lost_air.reserve(n);
-        c.lost_congestion.reserve(n);
-        c.lost_handover.reserve(n);
-        c.monitor_lag.reserve(n);
-        c.cycle_start_us.reserve(n);
-        c
+        ChargeColumns {
+            rows: Vec::with_capacity(n),
+        }
     }
 
     /// Number of rows (== arena slot count).
     pub fn rows(&self) -> usize {
-        self.sent.len()
+        self.rows.len()
     }
 
     /// Grows the bank (zero-filled) so `row` is addressable.
     pub fn ensure_row(&mut self, row: usize) {
-        if row >= self.sent.len() {
-            let n = row + 1;
-            self.sent.resize(n, 0);
-            self.delivered.resize(n, 0);
-            self.gateway.resize(n, 0);
-            self.lost_air.resize(n, 0);
-            self.lost_congestion.resize(n, 0);
-            self.lost_handover.resize(n, 0);
-            self.monitor_lag.resize(n, 0);
-            self.cycle_start_us.resize(n, 0);
+        if row >= self.rows.len() {
+            self.rows.resize(row + 1, ChargeRow::default());
         }
     }
 
     /// Zeroes a row (teardown, or cycle rollover via
     /// [`ChargeColumns::start_cycle`]).
     pub fn clear_row(&mut self, row: usize) {
-        let set = |v: &mut Vec<u64>| {
-            if let Some(x) = v.get_mut(row) {
-                *x = 0;
-            }
-        };
-        set(&mut self.sent);
-        set(&mut self.delivered);
-        set(&mut self.gateway);
-        set(&mut self.lost_air);
-        set(&mut self.lost_congestion);
-        set(&mut self.lost_handover);
-        set(&mut self.monitor_lag);
-        set(&mut self.cycle_start_us);
+        self.start_cycle(row, 0);
     }
 
     /// Clears the row's counters and stamps a fresh cycle start.
     pub fn start_cycle(&mut self, row: usize, now_us: u64) {
-        self.clear_row(row);
-        if let Some(x) = self.cycle_start_us.get_mut(row) {
-            *x = now_us;
+        if let Some(r) = self.rows.get_mut(row) {
+            *r = ChargeRow {
+                cycle_start_us: now_us,
+                ..ChargeRow::default()
+            };
         }
     }
 
     /// Cycle start of a row, µs.
     pub fn cycle_start_us(&self, row: usize) -> u64 {
-        self.cycle_start_us.get(row).copied().unwrap_or(0)
+        self.rows.get(row).map_or(0, |r| r.cycle_start_us)
     }
 
     /// Accrues one accounting tick: the edge sent `sent` bytes, of
@@ -187,86 +161,62 @@ impl ChargeColumns {
         congestion: u64,
         gateway_before_loss: bool,
     ) {
+        let Some(r) = self.rows.get_mut(row) else {
+            return;
+        };
         let lost = air.saturating_add(congestion).min(sent);
         let delivered = sent.saturating_sub(lost);
-        let add = |v: &mut Vec<u64>, d: u64| {
-            if let Some(x) = v.get_mut(row) {
-                *x = x.saturating_add(d);
-            }
-        };
-        add(&mut self.sent, sent);
-        add(&mut self.delivered, delivered);
-        add(
-            &mut self.gateway,
-            if gateway_before_loss { sent } else { delivered },
-        );
-        add(&mut self.lost_air, air.min(sent));
-        add(
-            &mut self.lost_congestion,
-            congestion.min(sent.saturating_sub(air)),
-        );
+        r.sent = r.sent.saturating_add(sent);
+        r.delivered = r.delivered.saturating_add(delivered);
+        r.gateway = r
+            .gateway
+            .saturating_add(if gateway_before_loss { sent } else { delivered });
+        r.lost_air = r.lost_air.saturating_add(air.min(sent));
+        r.lost_congestion = r
+            .lost_congestion
+            .saturating_add(congestion.min(sent.saturating_sub(air)));
     }
 
     /// Charges a handover flush: `bytes` already counted as delivered
     /// are clawed back into mobility loss (they were buffered in the
     /// cell and dropped by the handover before reaching the device).
     pub fn handover_flush(&mut self, row: usize, bytes: u64) -> u64 {
-        let Some(d) = self.delivered.get_mut(row) else {
+        let Some(r) = self.rows.get_mut(row) else {
             return 0;
         };
-        let clawed = bytes.min(*d);
-        *d = d.saturating_sub(clawed);
-        if let Some(x) = self.lost_handover.get_mut(row) {
-            *x = x.saturating_add(clawed);
-        }
+        let clawed = bytes.min(r.delivered);
+        r.delivered = r.delivered.saturating_sub(clawed);
+        r.lost_handover = r.lost_handover.saturating_add(clawed);
         clawed
     }
 
     /// Sets the operator's monitor lag for a row (bytes its measured
     /// view trails the delivered truth).
     pub fn set_monitor_lag(&mut self, row: usize, lag: u64) {
-        let delivered = self.delivered.get(row).copied().unwrap_or(0);
-        if let Some(x) = self.monitor_lag.get_mut(row) {
-            *x = lag.min(delivered);
+        if let Some(r) = self.rows.get_mut(row) {
+            r.monitor_lag = lag.min(r.delivered);
         }
     }
 
     /// Reads a row out (settlement path).
     pub fn row(&self, row: usize) -> ChargeRow {
-        let g = |v: &[u64]| v.get(row).copied().unwrap_or(0);
-        ChargeRow {
-            sent: g(&self.sent),
-            delivered: g(&self.delivered),
-            gateway: g(&self.gateway),
-            lost_air: g(&self.lost_air),
-            lost_congestion: g(&self.lost_congestion),
-            lost_handover: g(&self.lost_handover),
-            monitor_lag: g(&self.monitor_lag),
-            cycle_start_us: g(&self.cycle_start_us),
-        }
+        self.rows.get(row).copied().unwrap_or_default()
     }
 
-    /// The cache-linear gap-accounting sweep: one pass over the
-    /// columns, pricing every active row under legacy and TLC-honest
-    /// charging at loss weight `w`. Dead rows are all-zero and skip in
-    /// one branch.
+    /// The gap-accounting sweep: one linear pass over the bank,
+    /// pricing every active row under legacy and TLC-honest charging
+    /// at loss weight `w`. Dead rows are all-zero and skip in one
+    /// branch.
     pub fn sweep(&self, w: LossWeight) -> GapSweep {
         let mut out = GapSweep::default();
-        let n = self.sent.len();
-        for i in 0..n {
-            let sent = self.sent[i];
-            if sent == 0 {
-                continue;
-            }
-            let delivered = self.delivered[i];
-            let gateway = self.gateway[i];
-            let lag = self.monitor_lag[i];
-            let (intended, legacy_gap, tlc_gap) = price_row(sent, delivered, gateway, lag, w);
+        for r in self.rows.iter().filter(|r| r.sent != 0) {
+            let (intended, legacy_gap, tlc_gap) =
+                price_row(r.sent, r.delivered, r.gateway, r.monitor_lag, w);
             out.merge(&GapSweep {
                 active_rows: 1,
-                total_sent: sent,
-                total_delivered: delivered,
-                total_gateway: gateway,
+                total_sent: r.sent,
+                total_delivered: r.delivered,
+                total_gateway: r.gateway,
                 intended,
                 legacy_gap,
                 tlc_gap,
@@ -314,6 +264,18 @@ mod tests {
 
     fn w() -> LossWeight {
         LossWeight::half()
+    }
+
+    #[test]
+    fn each_row_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<ChargeRow>(), 64);
+        assert_eq!(std::mem::align_of::<ChargeRow>(), 64);
+        let mut c = ChargeColumns::with_capacity(4);
+        c.ensure_row(3);
+        assert!(c
+            .rows
+            .iter()
+            .all(|r| (r as *const ChargeRow as usize).is_multiple_of(64)));
     }
 
     #[test]

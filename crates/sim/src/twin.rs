@@ -4,8 +4,8 @@
 //! session at full fidelity; this module prices *populations*. Each
 //! twin session is a rate/loss abstraction of a §7.1 application
 //! ([`tlc_workloads::churn::SessionProfile`]) living in a generational
-//! slab ([`crate::arena`]), with its charging counters in
-//! struct-of-arrays columns ([`crate::soa`]) and its future — ticks,
+//! slab ([`crate::arena`]), with its charging counters in a
+//! cache-line row ([`crate::soa`]) and its future — ticks,
 //! cycle ends, handovers, teardown — parked in a hierarchical timer
 //! wheel ([`crate::wheel`]). Schedule and cancel are O(1), so a
 //! churning population of a million sessions costs per-event constant
@@ -42,7 +42,7 @@ use crate::wheel::{Scheduler, Token, WheelBackend};
 use tlc_core::plan::{DataPlan, UsagePair};
 use tlc_core::roaming::{reconcile_bonded, LinkCdr, RoamingAgreement, Segment, Serving};
 use tlc_net::packet::Direction;
-use tlc_net::rng::SimRng;
+use tlc_net::rng::{Label, SimRng};
 use tlc_net::time::SimDuration;
 use tlc_workloads::churn::{ChurnConfig, ChurnGen, SessionProfile};
 
@@ -360,6 +360,9 @@ struct Shard {
     offered: u64,
     /// Sampling stream (separate from churn/loss streams).
     sample_rng: SimRng,
+    /// `"twin/shard{index}/session"`, hashed once: each admitted
+    /// session's stream label extends it with the admission count.
+    session_label: Label,
     plan: DataPlan,
     cycle: SimDuration,
     tick: SimDuration,
@@ -394,6 +397,7 @@ impl Shard {
             congestion: 0.0,
             offered: 0,
             sample_rng: root.split(&label("sample")),
+            session_label: Label::new().str(&label("session")),
             plan: cfg.plan,
             cycle: cfg.cycle,
             tick: cfg.tick,
@@ -415,12 +419,10 @@ impl Shard {
 
     /// Admits one session at `now`, scheduling its whole future.
     fn admit(&mut self, now_us: u64, profile: SessionProfile, lifetime: SimDuration) {
-        let shard = self.index;
-        let n = self.created;
         let rng = self
             .churn
             .rng()
-            .split(&format!("twin/shard{shard}/session{n}"));
+            .split_label(self.session_label.decimal(self.created));
         let id = self.arena.insert(Session {
             profile,
             tick_tok: Token::NONE,
@@ -537,7 +539,6 @@ impl Shard {
                 sampled,
             });
         }
-        self.cols.clear_row(row);
         self.cols.start_cycle(row, now_us);
     }
 
@@ -606,9 +607,7 @@ impl Shard {
                 sampled,
             });
         }
-        self.cols.clear_row(row);
         self.cols.start_cycle(row, now_us);
-        self.cols_visited.clear_row(row);
         self.cols_visited.start_cycle(row, now_us);
     }
 

@@ -233,59 +233,116 @@ fn stale_ids_and_tokens_cannot_alias_reused_slots() {
     let _: Token = t2;
 }
 
+/// One seeded scheduler op stream; returns fired `(tick, payload)`
+/// and peeked `(u64::MAX, tick)` observations in order. Schedules land
+/// at or after the last pop horizon.
+fn scheduler_stream(
+    backend: WheelBackend,
+    seed: u64,
+    ops: usize,
+    cancel_weight: u64,
+) -> Vec<(u64, u64)> {
+    let mut s: Scheduler<u64> = Scheduler::new(backend);
+    let mut out = Vec::new();
+    let mut tokens: Vec<(Token, u64)> = Vec::new();
+    let mut x = seed;
+    let mut rng = move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        x >> 16
+    };
+    let mut now = 0u64;
+    for op in 0..ops as u64 {
+        let roll = rng() % (8 + cancel_weight);
+        if roll < 5 {
+            let delta = match rng() % 6 {
+                0 => rng() % 16,
+                1..=2 => rng() % 4096,
+                3 => rng() % 1_000_000,
+                4 => rng() % 400_000_000,
+                _ => (1u64 << 32) + rng() % 4096,
+            };
+            tokens.push((s.schedule(now + delta, op), now + delta));
+        } else if roll == 5 {
+            now += rng() % 3000;
+            while let Some((t, _, p)) = s.pop_next(now) {
+                out.push((t, p));
+            }
+        } else if roll == 6 {
+            out.push((u64::MAX, s.peek_tick().unwrap_or(u64::MAX)));
+        } else if roll == 7 {
+            // Cancel, then immediately reuse the freed slab entry at
+            // the same tick.
+            if let Some(&(tok, at)) = tokens.last() {
+                s.cancel(tok);
+                let at = at.max(now);
+                tokens.push((s.schedule(at, op), at));
+            }
+        } else if !tokens.is_empty() {
+            let i = (rng() as usize) % tokens.len();
+            s.cancel(tokens.swap_remove(i).0);
+        }
+    }
+    out.push((u64::MAX, s.peek_tick().unwrap_or(u64::MAX)));
+    while let Some((t, _, p)) = s.pop_next(u64::MAX) {
+        out.push((t, p));
+    }
+    assert!(s.is_empty());
+    out
+}
+
+/// One shard's whole initial population closes its first cycle at the
+/// same tick: 75k events at one instant, with cancels spread through
+/// the burst and stray events either side, must fire identically (and
+/// in schedule order) on both backends.
+#[test]
+fn same_tick_burst_of_75k_matches_heap() {
+    let run = |backend: WheelBackend| -> Vec<(u64, u64, u64)> {
+        let mut s: Scheduler<u64> = Scheduler::new(backend);
+        let at = 5_000_000;
+        let mut toks = Vec::new();
+        for i in 0..75_000u64 {
+            toks.push(s.schedule(at, i));
+            if i % 1000 == 0 {
+                s.schedule(at - 1 - i, u64::MAX - i);
+                s.schedule(at + 1 + i, u64::MAX - i);
+            }
+        }
+        for (i, tok) in toks.iter().enumerate() {
+            if i % 3 == 1 {
+                assert!(s.cancel(*tok));
+            }
+        }
+        let mut out = Vec::new();
+        out.push((u64::MAX, 0, s.peek_tick().unwrap_or(0)));
+        while let Some((t, seq, p)) = s.pop_next(u64::MAX) {
+            out.push((t, seq, p));
+        }
+        out
+    };
+    let w = run(WheelBackend::Wheel);
+    assert_eq!(w.iter().filter(|e| e.0 == 5_000_000).count(), 50_000);
+    assert_eq!(w, run(WheelBackend::Heap));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomized scheduler conformance: any interleaving of
     /// schedule/cancel/pop must fire identically on both backends.
+    /// `cancel_weight` tilts the mix toward cancels (up to about half
+    /// of all ops), so the wheel drains many slots holding only
+    /// tombstones; cancel-then-reuse puts a new record into its
+    /// tombstone's slot, and every peek must agree with the next pop.
     #[test]
     fn prop_wheel_matches_heap(
         seed in 1u64..5000,
         ops in 50usize..400,
+        cancel_weight in 0u64..8,
     ) {
-        let run = |backend: WheelBackend| -> Vec<(u64, u64)> {
-            let mut s: Scheduler<u64> = Scheduler::new(backend);
-            let mut fired = Vec::new();
-            let mut tokens: Vec<Token> = Vec::new();
-            let mut x = seed;
-            let mut rng = move || {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                x >> 16
-            };
-            let mut now = 0u64;
-            for op in 0..ops as u64 {
-                match rng() % 8 {
-                    0..=4 => {
-                        let delta = match rng() % 6 {
-                            0 => rng() % 16,
-                            1..=2 => rng() % 4096,
-                            3 => rng() % 1_000_000,
-                            4 => rng() % 400_000_000,
-                            _ => (1u64 << 32) + rng() % 4096,
-                        };
-                        tokens.push(s.schedule(now + delta, op));
-                    }
-                    5 => {
-                        if !tokens.is_empty() {
-                            let i = (rng() as usize) % tokens.len();
-                            s.cancel(tokens[i]);
-                        }
-                    }
-                    _ => {
-                        now += rng() % 3000;
-                        while let Some((t, _, p)) = s.pop_next(now) {
-                            fired.push((t, p));
-                        }
-                    }
-                }
-            }
-            while let Some((t, _, p)) = s.pop_next(u64::MAX) {
-                fired.push((t, p));
-            }
-            fired
-        };
-        let w = run(WheelBackend::Wheel);
-        let h = run(WheelBackend::Heap);
+        let w = scheduler_stream(WheelBackend::Wheel, seed, ops, cancel_weight);
+        let h = scheduler_stream(WheelBackend::Heap, seed, ops, cancel_weight);
         prop_assert_eq!(w, h);
     }
 
